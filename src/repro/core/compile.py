@@ -21,14 +21,17 @@ produces bit-identical behaviour:
 * **values** — ``freeze`` + ``check_value_size`` applied at the same
   points (component calls; *not* LaSy calls, which only freeze).
 
-Compiled closures are memoized **by expression identity**: the pool
-hash-conses aggressively (entries are reused across generations,
-contexts plug new roots over pooled children), so the per-node cache
+Compiled closures are memoized **on the expression node itself**: the
+pool hash-conses aggressively (entries are reused across generations,
+contexts plug new roots over pooled children), so the per-node memo
 turns compiling a plugged candidate into one closure allocation for the
-root plus cache hits for every child. Identity — not equality — keys
-the cache because two structurally equal ``Call`` nodes from *different
-DSLs* can carry same-named components with different Python callables
-(``Function.__eq__`` compares name and types only).
+root plus memo hits for every child. The memo is keyed by identity —
+not equality — because two structurally equal ``Call`` nodes from
+*different DSLs* can carry same-named components with different Python
+callables (``Function.__eq__`` compares name and types only). Living on
+the node, a closure is released with its expression: no process-wide
+table pins the candidates of finished runs, whose closures would
+otherwise make up most of the heap every full garbage collection walks.
 
 The interpreter (:func:`repro.core.evaluator.evaluate`) remains the
 reference semantics: ``tests/test_compile_differential.py`` checks the
@@ -42,6 +45,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from .expr import (
+    COMPILED_ATTR,
     Call,
     Const,
     Expr,
@@ -70,42 +74,18 @@ from .evaluator import (  # noqa: E402  (grouped for readability)
 
 CompiledFn = Callable[[Env], Any]
 
-# ---------------------------------------------------------------------
-# Memoization.
-#
-# Keyed by id(expr) with the expression itself stored alongside the
-# closure: the strong reference pins the id (no reuse-after-free
-# aliasing), and the ``is`` check on lookup makes the cache purely
-# identity-based. Bounded: past _CACHE_LIMIT entries the whole cache is
-# dropped — recompilation is cheap (one closure per node) and the hot
-# expressions repopulate immediately.
-
-_CACHE_LIMIT = 200_000
-_cache: Dict[int, Tuple[Expr, CompiledFn]] = {}
-
-
-def cache_size() -> int:
-    """Number of compiled nodes currently memoized (for tests/benches)."""
-    return len(_cache)
-
-
-def clear_cache() -> None:
-    """Drop all memoized closures (tests and long-lived processes)."""
-    _cache.clear()
-
 
 def compile_expr(expr: Expr) -> CompiledFn:
     """The compiled form of ``expr``: a closure over ``Env``.
 
-    Safe to call repeatedly; per-node results are memoized by identity.
+    Safe to call repeatedly; the result is memoized on the node (see
+    :data:`~repro.core.expr.COMPILED_ATTR`) and lives as long as it.
     """
-    entry = _cache.get(id(expr))
-    if entry is not None and entry[0] is expr:
-        return entry[1]
-    if len(_cache) >= _CACHE_LIMIT:
-        _cache.clear()
-    fn = _compile(expr)
-    _cache[id(expr)] = (expr, fn)
+    fn = expr._compiled
+    if fn is None:
+        fn = _compile(expr)
+        # Frozen dataclasses refuse setattr; the memo is not a field.
+        object.__setattr__(expr, COMPILED_ATTR, fn)
     return fn
 
 
@@ -556,13 +536,17 @@ def _compile_hole(expr: Hole) -> CompiledFn:
 # above (oversized scalars become ERROR here, not an exception, because
 # the reference path catches the EvaluationError the check raises).
 #
-# Memoized by component identity, mirroring the expression cache:
-# same-named components from different DSL instances may wrap different
-# Python callables, so the ``Function`` object (pinned by the strong
-# reference) keys the cache, not its name.
+# Memoized by component identity, like the expression memo: same-named
+# components from different DSL instances may wrap different Python
+# callables, so the ``Function`` object keys the cache, not its name. It
+# is stored alongside the closure: the strong reference pins the id (no
+# reuse-after-free aliasing), and the ``is`` check on lookup makes the
+# cache purely identity-based. Bounded: past _CACHE_LIMIT entries the
+# whole cache is dropped.
 
 BatchFn = Callable[..., Tuple[Any, ...]]
 
+_CACHE_LIMIT = 200_000
 _batch_cache: Dict[int, Tuple[Any, BatchFn]] = {}
 _lasy_batch_cache: Dict[int, Tuple[Any, BatchFn]] = {}
 

@@ -259,7 +259,9 @@ def dbs(
     # local_value: a worker-snapshot merge into the process-global
     # evaluator registry landing inside this region must not be
     # attributed to (double-counted against) this run.
-    eval_runs_before = EVAL_METRICS.local_value("eval.run_program")
+    eval_before = {
+        name: EVAL_METRICS.local_value(name) for name in _EVAL_COUNTERS
+    }
     _RUN_DEPTH.value = depth + 1
     try:
         with tracer.span(
@@ -284,10 +286,10 @@ def dbs(
         # serialization is reporting overhead, not search time.
         if tracer.enabled:
             registry = stats.registry
-            registry.counter("eval.run_program").value = int(
-                EVAL_METRICS.local_value("eval.run_program")
-                - eval_runs_before
-            )
+            for name in _EVAL_COUNTERS:
+                registry.counter(name).value = int(
+                    EVAL_METRICS.local_value(name) - eval_before[name]
+                )
             tracer.event(
                 "dbs.metrics",
                 nested=nested,
@@ -296,6 +298,12 @@ def dbs(
         return result
     finally:
         _RUN_DEPTH.value = depth
+
+
+# Process-global evaluator counters copied into each traced run's
+# registry as deltas, so its dbs.metrics snapshot carries the
+# evaluator's run and error counts (and report-trace their ratio).
+_EVAL_COUNTERS = ("eval.run_program", "eval.run_program_errors")
 
 
 # Depth of dbs() calls on the current thread's stack; loop-body

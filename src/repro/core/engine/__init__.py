@@ -31,9 +31,6 @@ On top of those, the service layers (see docs/service.md):
   generation's candidate stream across replica-holding worker
   processes and replays the merged survivors through the pool's
   signature-interning admission tail.
-
-``repro.core.components.ComponentPool`` remains as a thin facade over
-``PoolStore`` + ``Enumerator`` for existing callers.
 """
 
 from .cache import SessionCache

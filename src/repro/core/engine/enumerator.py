@@ -30,10 +30,15 @@ the expression is materialized lazily from the ``(production,
 child-entries)`` tuple only for survivors (and for semantic losers that
 still fit the revival shadow list, which must be hash-consed exactly as
 the classic path leaves them). Productions the batch compiler cannot
-handle — lazy components, lambda-taking slots, recursion, unbound LaSy
-callees — fall back to the classic per-candidate pipeline, so both
-modes synthesize identical programs (``tests/test_enum_batched.py``
-holds them to that).
+handle — lazy components, recursion, unbound LaSy callees — fall back
+to the classic per-candidate pipeline, so both modes synthesize
+identical programs (``tests/test_enum_batched.py`` holds them to that).
+Lambda slots join the batched path with one memoized callable per
+example in place of a vector (:meth:`PoolStore.lambda_columns`), under
+the whole-tree fuel of the classic evaluation
+(:meth:`PoolStore.apply_lambda_batch`). Candidates with free variables
+are still built and offered one by one, but only after their budget
+charge and size and variable caps passed on the children's sizes.
 """
 
 from __future__ import annotations
@@ -285,9 +290,10 @@ class Enumerator:
 
     def _batchable(self, prod: Production) -> bool:
         """Whether a production can take the batched value-vector path:
-        an eager call (or LaSy call) over plain nonterminal slots.
-        Lambda-taking slots need an Env, recursion carries no vectors,
-        and with no examples there is nothing to batch over."""
+        an eager call (or LaSy call) returning data. Lambda slots carry
+        per-example memoized callables in place of vectors (see
+        :meth:`PoolStore.lambda_columns`); recursion carries no
+        vectors, and with no examples there is nothing to batch over."""
         if not self.store.examples:
             return False
         if prod.kind == "lasy_fn":
@@ -296,7 +302,7 @@ class Enumerator:
             prod.kind == "call"
             and prod.func is not None
             and not prod.func.lazy
-            and not any(isinstance(a, LambdaSpec) for a in prod.args)
+            and not prod.func.return_type.is_function
         )
 
     def _expand(self, prod: Production, batched: bool = False) -> List[Expr]:
@@ -430,10 +436,20 @@ class Enumerator:
         def make_expr(children: Tuple[Expr, ...]) -> Expr:
             return Call(func, children, nt)
 
-        return self._batched_combos(nt, split_slots, batch_fn, make_expr)
+        lambda_slots = tuple(
+            j for j, arg in enumerate(prod.args) if isinstance(arg, LambdaSpec)
+        )
+        return self._batched_combos(
+            nt, split_slots, batch_fn, make_expr, lambda_slots
+        )
 
     def _batched_combos(
-        self, nt: str, split_slots: List[Tuple], batch_fn, make_expr
+        self,
+        nt: str,
+        split_slots: List[Tuple],
+        batch_fn,
+        make_expr,
+        lambda_slots: Tuple[int, ...] = (),
     ) -> List[Expr]:
         """The batched inner loop: per fresh combination, compute the
         candidate's value vector straight from the cached child vectors
@@ -443,7 +459,9 @@ class Enumerator:
         accounting (budget charge, offered/rejected/semantic counters,
         admission filter) mirrors the classic :meth:`PoolStore.offer`
         pipeline step for step, so the two modes exhaust budgets at the
-        same points and leave identical pools."""
+        same points and leave identical pools. ``lambda_slots`` index
+        the slots whose entries carry lambda columns; their fuel is
+        metered by :meth:`PoolStore.apply_lambda_batch`."""
         store = self.store
         examples = store.examples
         n_examples = len(examples)
@@ -483,14 +501,30 @@ class Enumerator:
             for entry in combo:
                 if entry.values is None:
                     # A child without a cached vector (free lambda
-                    # variables in a subtree): the candidate is not
-                    # closed, so the whole classic admission pipeline
-                    # applies to it — but its sampled fingerprint can
-                    # come from the memoized grids instead of a fresh
+                    # variables or recursion in a subtree): the
+                    # candidate is not closed, so the whole classic
+                    # admission pipeline applies to it — but its caps
+                    # can be checked from the children before it is
+                    # built, and its sampled fingerprint can come from
+                    # the memoized grids instead of a fresh
                     # per-candidate evaluation.
+                    checked = capture is None and not any(
+                        e.expr.has_recurse for e in combo
+                    )
+                    if checked:
+                        size = 1
+                        has_vars = False
+                        for e in combo:
+                            size += e.expr.size
+                            if e.expr.free_var_set:
+                                has_vars = True
+                        if not store.precheck(nt, size, has_vars):
+                            break
                     expr = make_expr(tuple(e.expr for e in combo))
                     c_materialized.value += 1
-                    result = store.offer(expr, sampled_fast=True)
+                    result = store.offer(
+                        expr, sampled_fast=True, checked=checked
+                    )
                     if result is not None:
                         added.append(result)
                     break
@@ -505,7 +539,12 @@ class Enumerator:
                     if detailed:
                         c_rejected.label(reason="size", nt=nt)
                     continue
-                values = batch_fn(*[e.values for e in combo])
+                if lambda_slots:
+                    values = store.apply_lambda_batch(
+                        batch_fn, combo, lambda_slots, make_expr
+                    )
+                else:
+                    values = batch_fn(*[e.values for e in combo])
                 c_batched.value += 1
                 c_applies.value += n_examples
                 if predicate is not None and not predicate(values, examples):
@@ -672,6 +711,9 @@ class Enumerator:
             )
             nt = lambda_nt(arg)
             var_names = set(arg.var_names)
+            # Batched mode: a body closed but for the lambda's own
+            # variables gets per-example columns in place of a vector.
+            columns = self._fast_sampling and bool(store.examples)
             older = []
             fresh = []
             upto = []
@@ -680,12 +722,20 @@ class Enumerator:
                     generation = entry.generation
                     if generation > newest:
                         continue
+                    body = entry.expr
                     if arg.require_var_use and not (
-                        free_vars(entry.expr) & var_names
+                        free_vars(body) & var_names
                     ):
                         continue
+                    values = None
+                    if (
+                        columns
+                        and not body.has_recurse
+                        and body.free_var_set <= var_names
+                    ):
+                        values = store.lambda_columns(body, arg.var_names)
                     wrapped = PoolEntry(
-                        Lambda(params, entry.expr, nt), generation
+                        Lambda(params, body, nt), generation, values
                     )
                     upto.append(wrapped)
                     if generation < newest:

@@ -90,6 +90,21 @@ _MAX_EXPR_SIZE = 60
 _GRID_CACHE_LIMIT = 200_000
 
 
+def _fresh_example_caches() -> Dict[str, Any]:
+    """Empty instances of the store's caches derived from the example
+    list, the harvested variable samples and the LaSy bindings: the
+    sampled grids and the lambda columns. Swapped in wholesale whenever
+    any of those change, and before pickling."""
+    return {
+        "_grid_cache": {},
+        "_proj_cache": {},
+        "_bindings_cache": {},
+        "_var_meta_cache": {},
+        "_lambda_cache": {},
+        "_cost_cache": {},
+    }
+
+
 @dataclass
 class PoolEntry:
     expr: Expr
@@ -114,6 +129,62 @@ class PoolEntry:
     # one shadowed earlier in the same pass) from a stale one instead of
     # recomputing — or worse, double-appending — its columns.
     epoch: int = 0
+
+
+class _LambdaColumn:
+    """A lambda argument on one example, as the component receives it.
+
+    The body runs once per distinct argument tuple under its own
+    ``Fuel(signature_fuel)``; the value (or the exception) and the fuel
+    it cost are memoized, so every candidate sharing the body reuses
+    the call. Each call adds its cost to ``spent``, which
+    :meth:`PoolStore.apply_lambda_batch` resets per candidate."""
+
+    __slots__ = ("run", "params", "names", "lasy_fns", "fuel", "memo", "spent")
+
+    def __init__(self, run, params, names, lasy_fns, fuel):
+        self.run = run
+        self.params = params
+        self.names = names
+        self.lasy_fns = lasy_fns
+        self.fuel = fuel
+        self.memo: Dict[Tuple, Tuple] = {}
+        self.spent = 0
+
+    def __call__(self, *args: Any) -> Any:
+        if len(args) != len(self.names):
+            raise EvaluationError(
+                f"lambda expects {len(self.names)} args, got {len(args)}"
+            )
+        try:
+            hit = self.memo.get(args)
+        except TypeError:  # unhashable argument: evaluate uncached
+            hit = self._evaluate(args)
+        else:
+            if hit is None:
+                hit = self.memo[args] = self._evaluate(args)
+        value, cost, exc = hit
+        self.spent += cost
+        if exc is not None:
+            # A fresh instance per replay: raising the memoized one
+            # would pin each replay's frames to it.
+            raise type(exc)(*exc.args)
+        return value
+
+    def _evaluate(self, args: Tuple) -> Tuple:
+        fuel = Fuel(self.fuel)
+        env = Env(
+            params=self.params,
+            vars=dict(zip(self.names, args)),
+            lasy_fns=self.lasy_fns,
+            fuel=fuel,
+        )
+        try:
+            value = self.run(env)
+        except Exception as exc:
+            exc.__traceback__ = exc.__cause__ = exc.__context__ = None
+            return None, self.fuel - fuel.remaining, exc
+        return value, self.fuel - fuel.remaining, None
 
 
 @dataclass
@@ -212,6 +283,13 @@ class PoolStore:
         # or no credible samples) — the per-candidate prologue of the
         # sampled-signature paths, computed once per distinct var set.
         self._var_meta_cache: Dict[frozenset, Optional[Tuple]] = {}
+        # Batched lambda-bearing productions (see apply_lambda_batch):
+        # (body identity, var names) -> (body, per-example columns) and
+        # closed-child identity -> (child, per-example fuel costs).
+        # Example-derived like the grids and dropped with them; the
+        # columns hold callables, so they never enter a pickle.
+        self._lambda_cache: Dict[Tuple, Tuple[Expr, Tuple]] = {}
+        self._cost_cache: Dict[int, Tuple[Expr, Tuple[int, ...]]] = {}
         self._lasy_versions = {
             name: id(fn) for name, fn in self.lasy_fns.items()
         }
@@ -294,11 +372,8 @@ class PoolStore:
         state["budget"] = None
         state["rewriter"] = None
         state["_partition_cache"] = {}
-        state["_grid_cache"] = {}
-        state["_proj_cache"] = {}
-        state["_bindings_cache"] = {}
-        state["_var_meta_cache"] = {}
         state["_sample_cache"] = {}
+        state.update(_fresh_example_caches())
         # id() snapshots are meaningless in another interpreter (and a
         # reused id would silently skip a needed refresh); an empty
         # snapshot makes the first refresh_lasy re-check everything.
@@ -425,6 +500,7 @@ class PoolStore:
         values: Optional[Tuple[Any, ...]] = None,
         *,
         sampled_fast: bool = False,
+        checked: bool = False,
     ) -> Optional[Expr]:
         """Canonicalize, deduplicate, and admit an expression. Returns the
         admitted (canonical) expression, or None if it was a duplicate.
@@ -432,40 +508,21 @@ class PoolStore:
         ``sampled_fast`` lets batched-mode callers compute any sampled
         (free-variable) fingerprint from the identity-memoized grids of
         :meth:`_grid_values` instead of a fresh per-candidate evaluation;
-        the decision tree and signature semantics are unchanged."""
+        the decision tree and signature semantics are unchanged.
+        ``checked`` means the caller already charged the budget and
+        passed the size, shape and free-variable caps (the batched
+        enumerator does so from the children before building ``expr``)."""
         cap = self._shard_capture
         if cap is not None:
             # Worker replica in shard-capture mode: run the pipeline's
             # shard-local half and record the survivor for the parent's
             # replay instead of admitting (see engine.shard).
             return cap.offer(expr, values, sampled_fast)
-        self.budget.charge_expression()
-        self._c_offered.value += 1
-        if expr.size > self.options.max_expr_size:
-            self._c_rejected.value += 1
-            if self._detailed:
-                self._c_rejected.label(reason="size", nt=expr.nt)
-            return None
-        if not _recursion_shape_ok(expr):
-            self._c_rejected.value += 1
-            if self._detailed:
-                self._c_rejected.label(reason="recursion_shape", nt=expr.nt)
-            return None
         expr_vars = free_vars(expr)
-        if expr_vars:
-            if expr.size > self.options.max_var_expr_size:
-                self._c_rejected.value += 1
-                if self._detailed:
-                    self._c_rejected.label(reason="var_size", nt=expr.nt)
-                return None
-            if (
-                self._var_counts.get(expr.nt, 0)
-                >= self.options.max_var_exprs_per_nt
-            ):
-                self._c_rejected.value += 1
-                if self._detailed:
-                    self._c_rejected.label(reason="var_cap", nt=expr.nt)
-                return None
+        if not checked and not self.precheck(
+            expr.nt, expr.size, bool(expr_vars), expr
+        ):
+            return None
         # Children come from the pool and are already canonical, so only
         # the root needs rewriting; rewrites are semantics-preserving, so
         # any computed value vector remains valid.
@@ -555,6 +612,40 @@ class PoolStore:
             )
         )
         return expr
+
+    def precheck(
+        self,
+        nt: str,
+        size: int,
+        has_vars: bool,
+        expr: Optional[Expr] = None,
+    ) -> bool:
+        """The head of the admission pipeline: charge the budget for one
+        candidate and apply the caps that need only its nonterminal,
+        size and whether it has free variables — plus the recursion
+        shape check when the built ``expr`` is given. True when the
+        candidate survives. The batched enumerator calls it from the
+        children's sizes and variable sets, before building anything."""
+        self.budget.charge_expression()
+        self._c_offered.value += 1
+        options = self.options
+        if size > options.max_expr_size:
+            reason = "size"
+        elif expr is not None and not _recursion_shape_ok(expr):
+            reason = "recursion_shape"
+        elif has_vars and size > options.max_var_expr_size:
+            reason = "var_size"
+        elif (
+            has_vars
+            and self._var_counts.get(nt, 0) >= options.max_var_exprs_per_nt
+        ):
+            reason = "var_cap"
+        else:
+            return True
+        self._c_rejected.value += 1
+        if self._detailed:
+            self._c_rejected.label(reason=reason, nt=nt)
+        return False
 
     # -- batched admission (see engine.enumerator's batched mode) ------
 
@@ -670,6 +761,123 @@ class PoolStore:
             )
         else:
             self._log_shard_op(("k", expr))
+
+    # -- batched lambda-bearing productions -----------------------------
+
+    def lambda_columns(
+        self, body: Expr, names: Tuple[str, ...]
+    ) -> Tuple[_LambdaColumn, ...]:
+        """The stand-in value vector of a lambda slot whose body is
+        closed but for ``names``: one memoized callable per example
+        (see :class:`_LambdaColumn`). Memoized by body identity until
+        the examples or LaSy bindings change."""
+        key = (id(body), names)
+        hit = self._lambda_cache.get(key)
+        if hit is not None and hit[0] is body:
+            return hit[1]
+        run = expression_runner(body)
+        param_names = self.signature.param_names
+        fuel = self.options.signature_fuel
+        columns = tuple(
+            _LambdaColumn(
+                run,
+                dict(zip(param_names, example.args)),
+                names,
+                self.lasy_fns,
+                fuel,
+            )
+            for example in self.examples
+        )
+        if len(self._lambda_cache) >= _GRID_CACHE_LIMIT:
+            self._lambda_cache.clear()
+        self._lambda_cache[key] = (body, columns)
+        return columns
+
+    def apply_lambda_batch(
+        self,
+        batch_fn,
+        combo: Sequence[PoolEntry],
+        lambda_slots: Sequence[int],
+        make_expr,
+    ) -> Tuple[Any, ...]:
+        """Value vector of a lambda-bearing call from its children's
+        columns, with the fuel of :meth:`_evaluate_tail`'s whole-tree
+        evaluation: each column has one ``signature_fuel`` to pay the
+        root call, every closed child's cost and each lambda node, then
+        whatever the component's body calls cost. Spending only grows,
+        so a column whose total stays within the limit never ran out on
+        the way; one whose total exceeds it is evaluated the classic
+        way, because a fuel error inside a body is an observable
+        outcome (``Loop`` turns it into a shorter string)."""
+        # Slots sharing one body share its columns: count them once.
+        columns = list(
+            {id(combo[j].values): combo[j].values for j in lambda_slots}
+            .values()
+        )
+        for per_example in columns:
+            for column in per_example:
+                column.spent = 0
+        base = [1 + len(lambda_slots)] * len(self.examples)
+        for j, entry in enumerate(combo):
+            if j not in lambda_slots:
+                costs = self._fuel_costs(entry.expr)
+                base = [b + c for b, c in zip(base, costs)]
+        values = batch_fn(*[entry.values for entry in combo])
+        fuel = self.options.signature_fuel
+        crossed = [
+            i
+            for i, spent in enumerate(base)
+            if spent + sum(c[i].spent for c in columns) > fuel
+        ]
+        if not crossed:
+            return values
+        expr = make_expr(tuple(entry.expr for entry in combo))
+        out = list(values)
+        for i in crossed:
+            tail = self._evaluate_tail(expr, self.examples[i:i + 1])
+            out[i] = ERROR if tail is None else tail[0]
+        return tuple(out)
+
+    def _fuel_costs(self, expr: Expr) -> Tuple[int, ...]:
+        """Per-example fuel one evaluation of a closed child costs
+        under a fresh ``Fuel(signature_fuel)`` — the share it takes of
+        its parent's fuel inside a whole-tree evaluation. Memoized by
+        identity like the grids; signature-internal work, so no eval
+        counters move."""
+        hit = self._cost_cache.get(id(expr))
+        if hit is not None and hit[0] is expr:
+            return hit[1]
+        costs = self._closed_runs(expr)[1]
+        if len(self._cost_cache) >= _GRID_CACHE_LIMIT:
+            self._cost_cache.clear()
+        self._cost_cache[id(expr)] = (expr, costs)
+        return costs
+
+    def _closed_runs(
+        self, expr: Expr
+    ) -> Tuple[Tuple[Any, ...], Tuple[int, ...]]:
+        """Per-example raw value and fuel cost of a closed expression,
+        each run under a fresh ``Fuel(signature_fuel)``; any exception
+        is an ERROR value."""
+        names = self.signature.param_names
+        limit = self.options.signature_fuel
+        run = expression_runner(expr)
+        values: List[Any] = []
+        costs: List[int] = []
+        for example in self.examples:
+            fuel = Fuel(limit)
+            env = Env(
+                params=dict(zip(names, example.args)),
+                lasy_fns=self.lasy_fns,
+                fuel=fuel,
+            )
+            try:
+                value = run(env)
+            except Exception:
+                value = ERROR
+            values.append(value)
+            costs.append(limit - fuel.remaining)
+        return tuple(values), tuple(costs)
 
     # -- shard replay (see engine.shard) -------------------------------
     #
@@ -902,14 +1110,21 @@ class PoolStore:
     # -- incremental extension -----------------------------------------
 
     def extend_examples(
-        self, new_examples: Sequence[Example], seeds: Sequence[Expr] = ()
+        self,
+        new_examples: Sequence[Example],
+        seeds: Sequence[Expr] = (),
+        *,
+        sampled_fast: bool = False,
     ) -> Dict[str, int]:
         """Append examples, widening every cached value vector by the new
         columns only, and re-run semantic dedup on the widened vectors.
 
         ``seeds`` are the expressions the caller is about to re-seed (the
         current ``P_i``'s subexpressions): constants they mention stay
-        alive through :meth:`_prune_stale_constants`.
+        alive through :meth:`_prune_stale_constants`. ``sampled_fast``
+        recomputes sampled fingerprints through the memoized grids, as
+        batched-mode admission does (see :meth:`offer`); without it they
+        take the per-cell reference path, as in classic mode.
 
         Returns a report dict: ``reused`` entries kept, ``invalidated``
         entries dropped by an admission filter on the widened vector,
@@ -935,12 +1150,9 @@ class PoolStore:
         # after an extension so new constants enter the pool.
         self._constants = dict(self.dsl.constants_for(self.examples))
         self._sample_cache = {}
-        # Sampled grids span the example list and the harvested binding
-        # samples; both just changed.
-        self._grid_cache = {}
-        self._proj_cache = {}
-        self._bindings_cache = {}
-        self._var_meta_cache = {}
+        # Sampled grids and lambda columns span the example list and
+        # the harvested binding samples; both just changed.
+        self.__dict__.update(_fresh_example_caches())
         self._prune_stale_constants(seeds, report)
         filters = self.dsl.admission_filters
         dedup = self.options.semantic_dedup
@@ -985,7 +1197,9 @@ class PoolStore:
                     # generation's combination space.
                     entry.sig = (
                         self._intern_sig(
-                            self._semantic_signature(entry.expr, None)
+                            self._signature_state(
+                                entry.expr, None, sampled_fast=sampled_fast
+                            )[0]
                         )
                         if dedup
                         else None
@@ -1170,7 +1384,9 @@ class PoolStore:
                     by_type.setdefault(ty, []).append(entry)
         self._by_type = by_type
 
-    def reorder_examples(self, perm: Sequence[int]) -> None:
+    def reorder_examples(
+        self, perm: Sequence[int], *, sampled_fast: bool = False
+    ) -> None:
         """Permute the held examples in place: ``perm[i]`` is the old
         index of the example now at position ``i``.
 
@@ -1186,6 +1402,8 @@ class PoolStore:
         :meth:`extend_examples` recomputes them, and fresh collisions
         among them are resolved the same way (losers dropped; vector
         entries never collide here so none are shadowed).
+        ``sampled_fast`` picks the fingerprint path as in
+        :meth:`extend_examples`.
 
         This is what lets :class:`~.session.SynthesisSession` serve a
         run whose examples merely reorder the held prefix warm instead
@@ -1208,17 +1426,14 @@ class PoolStore:
         self._partition_cache.clear()
         self._constants = dict(self.dsl.constants_for(self.examples))
         self._sample_cache = {}
-        self._grid_cache = {}
-        self._proj_cache = {}
-        self._bindings_cache = {}
-        self._var_meta_cache = {}
+        self.__dict__.update(_fresh_example_caches())
         dedup = self.options.semantic_dedup
         dropped = False
         for nt, entries in list(self._entries.items()):
             kept: List[PoolEntry] = []
             seen: set = set()
             for entry in entries:
-                self._permute_entry(entry, order, dedup)
+                self._permute_entry(entry, order, dedup, sampled_fast)
                 if entry.sig is not None:
                     if entry.sig in seen:
                         self._c_semantic.value += 1
@@ -1235,12 +1450,16 @@ class PoolStore:
                 self._seen_semantic[nt] = seen
         for bucket in self._shadows.values():
             for entry in bucket:
-                self._permute_entry(entry, order, dedup)
+                self._permute_entry(entry, order, dedup, sampled_fast)
         if dropped:
             self._rebuild_by_type()
 
     def _permute_entry(
-        self, entry: PoolEntry, order: Sequence[int], dedup: bool
+        self,
+        entry: PoolEntry,
+        order: Sequence[int],
+        dedup: bool,
+        sampled_fast: bool,
     ) -> None:
         if entry.values is not None:
             entry.values = tuple(entry.values[j] for j in order)
@@ -1261,7 +1480,11 @@ class PoolStore:
                 entry.sig_cols = None
         else:
             entry.sig = (
-                self._intern_sig(self._semantic_signature(entry.expr, None))
+                self._intern_sig(
+                    self._signature_state(
+                        entry.expr, None, sampled_fast=sampled_fast
+                    )[0]
+                )
                 if dedup
                 else None
             )
@@ -1283,8 +1506,9 @@ class PoolStore:
             if current.get(name) != self._lasy_versions.get(name)
         }
         self._lasy_versions = current
-        # Grid cells may embed results of the changed functions.
-        self._grid_cache = {}
+        # Grid cells and lambda columns may embed results of the
+        # changed functions.
+        self.__dict__.update(_fresh_example_caches())
         dedup = self.options.semantic_dedup
         refreshed = 0
         dropped_any = False
@@ -1410,14 +1634,6 @@ class PoolStore:
                 return None
             out.append((name, ty))
         return out
-
-    def _semantic_signature(
-        self, expr: Expr, values: Optional[Tuple[Any, ...]]
-    ) -> Optional[Tuple]:
-        """The raw fingerprint driving semantic dedup, or None when
-        exempt. Seen-sets and entries store its interned id, not the
-        tuple itself — see :meth:`_intern_sig`."""
-        return self._signature_state(expr, values)[0]
 
     def _signature_state(
         self,
@@ -1733,23 +1949,7 @@ class PoolStore:
         hit = cache.get(id(expr))
         if hit is not None and hit[0] is expr:
             return hit[1]
-        names = self.signature.param_names
-        runner = expression_runner(expr)
-        out: List[Any] = []
-        for example in self.examples:
-            env = Env(
-                params=dict(zip(names, example.args)),
-                lasy_fns=self.lasy_fns,
-                fuel=Fuel(self.options.signature_fuel),
-            )
-            try:
-                value = runner(env)
-            except EvaluationError:
-                value = ERROR
-            except Exception:
-                value = ERROR
-            out.append(value)
-        values = tuple(out)
+        values = self._closed_runs(expr)[0]
         if len(cache) >= _GRID_CACHE_LIMIT:
             cache.clear()
         cache[id(expr)] = (expr, values)

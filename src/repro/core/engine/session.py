@@ -352,9 +352,15 @@ class SynthesisSession:
     def _extend_warm(self, suffix: Sequence[Example], seeds) -> None:
         pool = self.pool
         pool.bind(self.stats.registry, self.budget)
+        # Sampled fingerprints are recomputed the way this run's
+        # enumeration mode admits them: through the memoized grids in
+        # batched mode, per cell in the classic reference.
+        enumerator = self.enumerator
+        enumerator.enum_mode = getattr(self.options, "enum_mode", None)
+        fast = enumerator._resolve_mode() == "batched"
         reordered = 0
         if self._pending_reorder is not None:
-            pool.reorder_examples(self._pending_reorder)
+            pool.reorder_examples(self._pending_reorder, sampled_fast=fast)
             reordered = len(self._pending_reorder)
             self._pending_reorder = None
         with self.tracer.span(
@@ -365,7 +371,9 @@ class SynthesisSession:
             entries=pool.total(),
         ) as span:
             refreshed = pool.refresh_lasy()
-            report = pool.extend_examples(suffix, seeds=seeds)
+            report = pool.extend_examples(
+                suffix, seeds=seeds, sampled_fast=fast
+            )
             offered_before = self.budget.expressions
             # Re-seed: constants derived from the appended examples and
             # P_i's subexpressions enter at the current generation, so

@@ -72,6 +72,12 @@ class Function:
         )
 
 
+#: Instance attribute under which :func:`repro.core.compile.compile_expr`
+#: memoizes a node's compiled closure. A process-local cache: dropped
+#: from pickles, and never part of equality or hashing.
+COMPILED_ATTR = "_compiled"
+
+
 class Expr:
     """Base class for expressions. Subclasses are frozen dataclasses.
 
@@ -91,12 +97,22 @@ class Expr:
     _hash: int
     free_var_set: frozenset
     has_recurse: bool
+    # Set per node by compile_expr (see COMPILED_ATTR); a class-level
+    # default rather than a field, so it stays out of every dataclass.
+    _compiled = None
 
     def _identity(self) -> tuple:
         raise NotImplementedError
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if COMPILED_ATTR in state:
+            state = dict(state)
+            del state[COMPILED_ATTR]
+        return state
 
     def __eq__(self, other: object) -> bool:
         if self is other:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 import string as string_module
+import zlib
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from ..core.dsl import Example
@@ -38,7 +39,11 @@ class Oracle:
         exhaustive_budget: int = 300,
     ):
         self.puzzle = puzzle
-        self.rng = random.Random(seed ^ hash(puzzle.name) & 0xFFFF)
+        # crc32, not hash(): str hashes are salted per process
+        # (PYTHONHASHSEED), and the draws must not depend on that.
+        self.rng = random.Random(
+            seed ^ zlib.crc32(puzzle.name.encode()) & 0xFFFF
+        )
         self.random_attempts = random_attempts
         self.exhaustive_budget = exhaustive_budget
 

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.core.compile import clear_cache, compile_expr
+from repro.core.compile import compile_expr
 from repro.core.dsl import Example, LambdaSpec, NtRef, Production, Signature
 from repro.core.evaluator import Env, EvaluationError, Fuel, evaluate
 from repro.core.expr import (
@@ -31,7 +31,7 @@ from repro.core.expr import (
     Param,
     Var,
 )
-from repro.core.components import lambda_nt
+from repro.core.engine import lambda_nt
 from repro.core.types import BOOL, INT, STRING, Type, types_compatible
 from repro.core.values import freeze
 from repro.domains.registry import get_domain
@@ -301,7 +301,6 @@ def test_compiled_matches_interpreter(domain_name):
     rng = random.Random(f"tds-differential-{domain_name}")
     cases = _domain_cases(domain_name)
     assert cases, f"no generation cases for domain {domain_name}"
-    clear_cache()
     generated = 0
     failures = 0
     while generated < N_EXPRS:

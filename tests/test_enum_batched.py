@@ -14,7 +14,7 @@ import pytest
 from repro.core.budget import Budget
 from repro.core.dbs import DbsOptions, DbsStats
 from repro.core.dsl import DslBuilder, Example, Signature
-from repro.core.engine import Enumerator, PoolStore
+from repro.core.engine import Enumerator, PoolOptions, PoolStore
 from repro.core.engine.enumerator import get_enum_mode, set_enum_mode
 from repro.core.expr import Call, Param
 from repro.core.tds import TdsOptions
@@ -66,14 +66,19 @@ def mixed_dsl():
     return b.build()
 
 
-def make_pool(dsl, signature, examples, max_expressions=10**7):
+def make_pool(dsl, signature, examples, max_expressions=10**7, fuel=None):
+    """A pool under an expression-only budget, so a differential never
+    depends on the host's speed."""
     stats = DbsStats()
-    budget = Budget(max_seconds=60.0, max_expressions=max_expressions)
+    options = PoolOptions() if fuel is None else PoolOptions(
+        signature_fuel=fuel
+    )
     pool = PoolStore(
         dsl,
         signature,
         list(examples),
-        budget=budget,
+        options=options,
+        budget=Budget(max_expressions=max_expressions),
         metrics=stats.registry,
     )
     return pool, stats
@@ -97,14 +102,18 @@ def pool_state(pool):
     return entries, shadows
 
 
-def run_generations(dsl, signature, examples, mode, advances=2, extend=None):
-    pool, _ = make_pool(dsl, signature, examples)
+def run_generations(
+    dsl, signature, examples, mode, advances=2, extend=None, **pool_args
+):
+    """``advances`` generations, then optionally one appended example
+    and one more generation, as a warm session run does it."""
+    pool, _ = make_pool(dsl, signature, examples, **pool_args)
     enumerator = Enumerator(pool, enum_mode=mode)
     enumerator.seed([])
     for _ in range(advances):
         enumerator.advance()
     if extend is not None:
-        pool.extend_examples([extend])
+        pool.extend_examples([extend], sampled_fast=mode == "batched")
         enumerator.seed([])
         enumerator.advance()
     return pool
@@ -156,18 +165,37 @@ DOMAIN_CASES = [
 ]
 
 
+# Strings tasks whose solutions go through the lambda-bearing
+# productions (SplitAndMerge, Loop) over several warm extensions.
+LAMBDA_CASES = [
+    ("strings", "prefix-lines"),
+    ("strings", "bib-venue"),
+]
+
+
 def _tds_options(mode):
     return TdsOptions(dbs=DbsOptions(enum_mode=mode))
 
 
-@pytest.mark.parametrize("suite_name, bench_name", DOMAIN_CASES)
+def _outcome(result):
+    """Per synthesized function: the program and every step's
+    expression count."""
+    return {
+        name: (str(r.program), [step.expressions for step in r.steps])
+        for name, r in result.results.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "suite_name, bench_name", DOMAIN_CASES + LAMBDA_CASES
+)
 def test_suite_benchmarks_batched_matches_classic(suite_name, bench_name):
     from repro.suites import ALL_SUITES
 
     benchmark = next(
         b for b in ALL_SUITES[suite_name] if b.name == bench_name
     )
-    budget = lambda: Budget(max_seconds=20, max_expressions=250_000)
+    budget = lambda: Budget(max_expressions=250_000, max_programs=2_000)
     batched = benchmark.run(
         budget_factory=budget, options=_tds_options("batched")
     )
@@ -176,6 +204,7 @@ def test_suite_benchmarks_batched_matches_classic(suite_name, bench_name):
     )
     assert batched.success and classic.success
     assert str(batched.program) == str(classic.program)
+    assert _outcome(batched) == _outcome(classic)
 
 
 def test_pexfun_puzzle_batched_matches_classic():
@@ -332,6 +361,11 @@ def test_batched_counters_reach_trace_report(tmp_path):
     assert report.counters.get("enum.batched", 0) > 0
     assert report.counters.get("enum.lazy_materialized", 0) > 0
     assert report.counters.get("enum.sig_interned", 0) > 0
+    # The evaluator's run and error counts travel in the per-run
+    # snapshots, so the report can give its error ratio.
+    runs = report.counters.get("eval.run_program", 0)
+    assert runs > 0
+    assert 0 <= report.counters["eval.run_program_errors"] <= runs
     # Batched productions report under their own phase, with per-
     # production rows intact.
     assert any(row.phase == "enum" for row in report.phases)

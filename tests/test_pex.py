@@ -1,5 +1,9 @@
 """Tests for the simulated Pex oracle and the Pex4Fun game."""
 
+import os
+import subprocess
+import sys
+
 from repro.core.budget import Budget
 from repro.core.dsl import Example, Signature
 from repro.core.types import INT, STRING
@@ -63,6 +67,25 @@ class TestOracle:
         a = Oracle(_puzzle("square"), seed=3).find_counterexample(None)
         b = Oracle(_puzzle("square"), seed=3).find_counterexample(None)
         assert a == b
+
+    def test_draws_independent_of_hash_seed(self):
+        # The generator's seed must not come from the salted str hash:
+        # two interpreters with different PYTHONHASHSEED draw alike.
+        code = (
+            "from repro.pex import PUZZLES, Oracle\n"
+            "puzzle = next(p for p in PUZZLES if p.name == 'square')\n"
+            "print(Oracle(puzzle, seed=3).rng.random())\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        draws = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            draws.append(out.stdout.strip())
+        assert draws[0] == draws[1]
 
     def test_reference_domain_errors_skipped(self):
         # first-char is undefined on ""; the oracle must not use it.

@@ -5,8 +5,8 @@ import time
 import pytest
 
 from repro.core.budget import Budget, BudgetExhausted, default_budget
-from repro.core.components import ComponentPool
 from repro.core.dsl import DslBuilder, Example, Signature
+from repro.core.engine import Enumerator, PoolStore
 from repro.core.evaluator import EvaluationError
 from repro.core.expr import Call, Const, Function, Param
 from repro.core.program import LookupFunction, SynthesizedFunction
@@ -14,6 +14,13 @@ from repro.core.strategies import make_concat_strategy
 from repro.core.types import INT, STRING
 
 ADD = Function("Add", (INT, INT), INT, lambda a, b: a + b)
+
+
+def seeded_pool(dsl, signature, examples):
+    """An expression store holding the grammar's atoms."""
+    pool = PoolStore(dsl, signature, examples)
+    Enumerator(pool).seed()
+    return pool
 
 
 class TestSynthesizedFunction:
@@ -128,7 +135,7 @@ class TestConcatStrategy:
             Example(("x", "y"), "x-y"),
             Example(("p", "q"), "p-q"),
         ]
-        pool = ComponentPool(dsl, sig, examples)
+        pool = seeded_pool(dsl, sig, examples)
         strategy = make_concat_strategy("Concatenate", "f", "e")
         candidates = strategy(pool, examples, sig, dsl)
         assert candidates
@@ -145,7 +152,7 @@ class TestConcatStrategy:
         dsl = self.dsl()
         sig = Signature("f", (("a", STRING),), INT)
         examples = [Example(("x",), 3)]
-        pool = ComponentPool(dsl, sig, examples)
+        pool = seeded_pool(dsl, sig, examples)
         strategy = make_concat_strategy("Concatenate", "f", "e")
         assert strategy(pool, examples, sig, dsl) == []
 
@@ -153,7 +160,7 @@ class TestConcatStrategy:
         dsl = self.dsl()
         sig = Signature("f", (("a", STRING),), STRING)
         examples = [Example(("x",), "zzz")]
-        pool = ComponentPool(dsl, sig, examples)
+        pool = seeded_pool(dsl, sig, examples)
         strategy = make_concat_strategy("Concatenate", "f", "e")
         candidates = strategy(pool, examples, sig, dsl)
         from repro.core.evaluator import try_run

@@ -71,35 +71,35 @@ def test_fast_benchmarks_solve_and_generalize(suite_name, bench_name):
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "benchmark", STRING_BENCHMARKS, ids=lambda b: b.name
+    "bench", STRING_BENCHMARKS, ids=lambda b: b.name
 )
-def test_string_suite(benchmark):
-    result = benchmark.run(
-        budget_factory=hard_budget if benchmark.hard else fast_budget
+def test_string_suite(bench):
+    result = bench.run(
+        budget_factory=hard_budget if bench.hard else fast_budget
     )
-    assert result.success, f"{benchmark.name} did not synthesize"
-    assert benchmark.check_holdout(result), f"{benchmark.name} overfitted"
+    assert result.success, f"{bench.name} did not synthesize"
+    assert bench.check_holdout(result), f"{bench.name} overfitted"
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "benchmark", TABLE_BENCHMARKS, ids=lambda b: b.name
+    "bench", TABLE_BENCHMARKS, ids=lambda b: b.name
 )
-def test_table_suite(benchmark):
-    result = benchmark.run(
-        budget_factory=hard_budget if benchmark.hard else fast_budget
+def test_table_suite(bench):
+    result = bench.run(
+        budget_factory=hard_budget if bench.hard else fast_budget
     )
     assert result.success
-    assert benchmark.check_holdout(result)
+    assert bench.check_holdout(result)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "benchmark", XML_BENCHMARKS, ids=lambda b: b.name
+    "bench", XML_BENCHMARKS, ids=lambda b: b.name
 )
-def test_xml_suite(benchmark):
-    result = benchmark.run(
-        budget_factory=hard_budget if benchmark.hard else fast_budget
+def test_xml_suite(bench):
+    result = bench.run(
+        budget_factory=hard_budget if bench.hard else fast_budget
     )
     assert result.success
-    assert benchmark.check_holdout(result)
+    assert bench.check_holdout(result)
